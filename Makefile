@@ -17,10 +17,13 @@ test:
 
 # Tier-1 plus the race-sensitive packages (the service, the async job
 # subsystem, the context-aware exploration core, the pooled sweep
-# engines and the guided search) under the race detector, plus short
-# fuzz passes over the external-trace parser and the genome repair.
+# engines and the guided search) under the race detector, the benchmark
+# module's smoke test (its own module, which the root go test never
+# compiles), plus short fuzz passes over the external-trace parser and
+# the genome repair.
 check: build vet test
 	$(GO) test -race ./internal/service ./internal/jobs ./internal/core ./internal/cachesim ./internal/extrace ./internal/search
+	cd perfbench && $(GO) test ./...
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseDin -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseBinaryV2 -fuzztime 5s
 	$(GO) test ./internal/extrace -run '^$$' -fuzz FuzzParseIndexFooter -fuzztime 5s
@@ -94,7 +97,6 @@ exhibits:
 fuzz:
 	$(GO) test ./internal/loopir -fuzz 'FuzzParse$$' -fuzztime 30s
 	$(GO) test ./internal/loopir -fuzz FuzzParseExpr -fuzztime 30s
-	$(GO) test ./internal/trace -fuzz FuzzReadDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseDin -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseBinaryV2 -fuzztime 30s
 	$(GO) test ./internal/extrace -fuzz FuzzParseIndexFooter -fuzztime 30s

@@ -1,66 +1,67 @@
 // Command cachesim is a Dinero-style trace-driven cache simulator. It
-// reads a din-format trace from a file (or stdin), or generates the trace
-// of a named benchmark kernel, and reports hit/miss statistics with 3C
-// miss classification.
+// reads a trace from a file (or stdin) — din text or mxt binary,
+// optionally gzip-compressed — or generates the trace of a named
+// benchmark kernel, and reports hit/miss statistics with 3C miss
+// classification.
 //
 // Usage:
 //
 //	cachesim -size 64 -line 8 -assoc 2 -trace refs.din
 //	cachesim -size 64 -line 8 -kernel compress -optimized
-//	cachesim -kernel sor -tiling 4 -dump-trace sor.din
+//	cachesim -kernel sor -tiling 4 -dump-trace sor.din.gz
 package main
 
 import (
+	"compress/gzip"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 
 	"memexplore"
 	"memexplore/internal/cachesim"
+	"memexplore/internal/extrace"
 	"memexplore/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fatal(err)
+	}
+}
+
+// run parses the command line in args and writes the report to w.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("cachesim", flag.ExitOnError)
 	var (
-		size      = flag.Int("size", 64, "cache size in bytes (power of two)")
-		line      = flag.Int("line", 8, "line size in bytes (power of two)")
-		assoc     = flag.Int("assoc", 1, "set associativity (power of two)")
-		repl      = flag.String("repl", "lru", "replacement policy: lru, fifo, random")
-		wthrough  = flag.Bool("write-through", false, "write-through instead of write-back")
-		noalloc   = flag.Bool("no-write-allocate", false, "do not allocate on write misses")
-		traceFile = flag.String("trace", "", "din-format trace file ('-' for stdin)")
-		kernel    = flag.String("kernel", "", "generate the trace of this benchmark kernel instead")
-		nestFile  = flag.String("file", "", "generate the trace of a kernel parsed from this nest file")
-		tiling    = flag.Int("tiling", 1, "tile the kernel's loops with this size")
-		optimized = flag.Bool("optimized", false, "apply the §4.1 off-chip assignment to the kernel")
-		dump      = flag.String("dump-trace", "", "write the generated trace to this din file and exit")
-		sweep     = flag.String("sweep-sizes", "", "simulate several cache sizes in one pass (comma-separated bytes) and print a table")
+		size      = fs.Int("size", 64, "cache size in bytes (power of two)")
+		line      = fs.Int("line", 8, "line size in bytes (power of two)")
+		assoc     = fs.Int("assoc", 1, "set associativity (power of two)")
+		repl      = fs.String("repl", "lru", "replacement policy: lru, fifo, random")
+		wthrough  = fs.Bool("write-through", false, "write-through instead of write-back")
+		noalloc   = fs.Bool("no-write-allocate", false, "do not allocate on write misses")
+		traceFile = fs.String("trace", "", "trace file: din or mxt, optionally gzipped ('-' for stdin)")
+		kernel    = fs.String("kernel", "", "generate the trace of this benchmark kernel instead")
+		nestFile  = fs.String("file", "", "generate the trace of a kernel parsed from this nest file")
+		tiling    = fs.Int("tiling", 1, "tile the kernel's loops with this size")
+		optimized = fs.Bool("optimized", false, "apply the §4.1 off-chip assignment to the kernel")
+		dump      = fs.String("dump-trace", "", "write the generated trace to this din file (gzipped when it ends in .gz) and exit")
+		sweep     = fs.String("sweep-sizes", "", "simulate several cache sizes in one pass (comma-separated bytes) and print a table")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	tr, err := loadTrace(*traceFile, *kernel, *nestFile, *tiling, *optimized, *line, *size)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *dump != "" {
-		f, err := os.Create(*dump)
-		if err != nil {
-			fatal(err)
+		if err := dumpTrace(*dump, tr); err != nil {
+			return err
 		}
-		writeFn := tr.WriteDin
-		if strings.HasSuffix(*dump, ".gz") {
-			writeFn = tr.WriteDinGz
-		}
-		if err := writeFn(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d references to %s\n", tr.Len(), *dump)
-		return
+		fmt.Fprintf(w, "wrote %d references to %s\n", tr.Len(), *dump)
+		return nil
 	}
 
 	cfg := cachesim.DefaultConfig(*size, *line, *assoc)
@@ -72,32 +73,73 @@ func main() {
 	case "random":
 		cfg.Replacement = cachesim.Random
 	default:
-		fatal(fmt.Errorf("unknown replacement policy %q", *repl))
+		return fmt.Errorf("unknown replacement policy %q", *repl)
 	}
 	cfg.WriteBack = !*wthrough
 	cfg.WriteAllocate = !*noalloc
 
 	if *sweep != "" {
-		if err := runSweep(cfg, tr, *sweep); err != nil {
-			fatal(err)
-		}
-		return
+		return runSweep(w, cfg, tr, *sweep)
 	}
 
 	st, err := cachesim.RunTrace(cfg, tr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("configuration   %s\n", cfg)
-	fmt.Printf("references      %d (reads %d, writes %d, fetches %d)\n", st.Accesses, st.Reads, st.Writes, st.Fetches)
-	fmt.Printf("hits            %d (%.4f)\n", st.Hits, st.HitRate())
-	fmt.Printf("misses          %d (%.4f)\n", st.Misses, st.MissRate())
-	fmt.Printf("  compulsory    %d\n", st.CompulsoryMisses)
-	fmt.Printf("  capacity      %d\n", st.CapacityMisses)
-	fmt.Printf("  conflict      %d\n", st.ConflictMisses)
-	fmt.Printf("lines fetched   %d\n", st.LinesFetched)
-	fmt.Printf("write-backs     %d\n", st.WriteBacks)
-	fmt.Printf("write-throughs  %d\n", st.WriteThroughs)
+	fmt.Fprintf(w, "configuration   %s\n", cfg)
+	fmt.Fprintf(w, "references      %d (reads %d, writes %d, fetches %d)\n", st.Accesses, st.Reads, st.Writes, st.Fetches)
+	fmt.Fprintf(w, "hits            %d (%.4f)\n", st.Hits, st.HitRate())
+	fmt.Fprintf(w, "misses          %d (%.4f)\n", st.Misses, st.MissRate())
+	fmt.Fprintf(w, "  compulsory    %d\n", st.CompulsoryMisses)
+	fmt.Fprintf(w, "  capacity      %d\n", st.CapacityMisses)
+	fmt.Fprintf(w, "  conflict      %d\n", st.ConflictMisses)
+	fmt.Fprintf(w, "lines fetched   %d\n", st.LinesFetched)
+	fmt.Fprintf(w, "write-backs     %d\n", st.WriteBacks)
+	fmt.Fprintf(w, "write-throughs  %d\n", st.WriteThroughs)
+	return nil
+}
+
+// dumpTrace writes tr to path in the din format, gzip-compressed when
+// the path ends in .gz.
+func dumpTrace(path string, tr *trace.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var out io.Writer = f
+	var zw *gzip.Writer
+	if strings.HasSuffix(path, ".gz") {
+		zw = gzip.NewWriter(f)
+		out = zw
+	}
+	if _, err := extrace.WriteDin(out, tr.Reader()); err != nil {
+		return err
+	}
+	if zw != nil {
+		if err := zw.Close(); err != nil {
+			return err
+		}
+	}
+	return f.Close()
+}
+
+// readTrace loads a whole din or mxt trace, gzipped or not.
+func readTrace(r io.Reader) (*trace.Trace, error) {
+	rd := extrace.NewReader(r, extrace.Options{})
+	defer rd.Close()
+	tr := trace.New(0)
+	src := rd.Source()
+	for {
+		ref, err := src.Next()
+		if err == io.EOF {
+			return tr, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		tr.Append(ref)
+	}
 }
 
 func loadTrace(traceFile, kernel, nestFile string, tiling int, optimized bool, lineBytes, sizeBytes int) (*trace.Trace, error) {
@@ -124,7 +166,7 @@ func loadTrace(traceFile, kernel, nestFile string, tiling int, optimized bool, l
 			}
 			defer f.Close()
 		}
-		return trace.ReadDinAuto(f)
+		return readTrace(f)
 	case kernel != "":
 		var err error
 		n, err = memexplore.Kernel(kernel)
@@ -169,7 +211,7 @@ func fatal(err error) {
 
 // runSweep simulates all requested sizes in one pass over the trace
 // (cachesim.Batch) and prints a table.
-func runSweep(base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
+func runSweep(w io.Writer, base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
 	var cfgs []cachesim.Config
 	for _, f := range strings.Split(sizesCSV, ",") {
 		f = strings.TrimSpace(f)
@@ -197,9 +239,9 @@ func runSweep(base cachesim.Config, tr *trace.Trace, sizesCSV string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-18s %10s %10s %10s\n", "configuration", "hits", "misses", "missrate")
+	fmt.Fprintf(w, "%-18s %10s %10s %10s\n", "configuration", "hits", "misses", "missrate")
 	for i, cfg := range cfgs {
-		fmt.Printf("%-18s %10d %10d %10.4f\n", cfg.String(), stats[i].Hits, stats[i].Misses, stats[i].MissRate())
+		fmt.Fprintf(w, "%-18s %10d %10d %10.4f\n", cfg.String(), stats[i].Hits, stats[i].Misses, stats[i].MissRate())
 	}
 	return nil
 }

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"memexplore/internal/cachesim"
@@ -81,16 +85,48 @@ func TestRunSweepValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := cachesim.DefaultConfig(64, 8, 1)
-	if err := runSweep(base, tr, "16,32,64"); err != nil {
+	if err := runSweep(io.Discard, base, tr, "16,32,64"); err != nil {
 		t.Errorf("sweep failed: %v", err)
 	}
-	if err := runSweep(base, tr, "x"); err == nil {
+	if err := runSweep(io.Discard, base, tr, "x"); err == nil {
 		t.Error("bad size should fail")
 	}
-	if err := runSweep(base, tr, " , "); err == nil {
+	if err := runSweep(io.Discard, base, tr, " , "); err == nil {
 		t.Error("empty list should fail")
 	}
-	if err := runSweep(base, tr, "48"); err == nil {
+	if err := runSweep(io.Discard, base, tr, "48"); err == nil {
 		t.Error("non-power-of-two size should fail")
+	}
+}
+
+// TestDumpTraceRoundTrip: a kernel trace dumped to gzipped din and read
+// back with -trace simulates exactly like the generated kernel trace.
+func TestDumpTraceRoundTrip(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.din.gz")
+	var out bytes.Buffer
+	if err := run([]string{"-kernel", "compress", "-dump-trace", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	report := func(args ...string) []string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := run(append([]string{"-size", "128", "-line", "16", "-assoc", "2"}, args...), &buf); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(l, "hits") || strings.HasPrefix(l, "misses") {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != 2 {
+			t.Fatalf("report lacks the hit/miss lines:\n%s", buf.String())
+		}
+		return lines
+	}
+	want := report("-kernel", "compress")
+	got := report("-trace", path)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("dumped trace reports\n%s\nkernel run reports\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

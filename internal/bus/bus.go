@@ -83,6 +83,13 @@ func (c *SwitchCounter) Drive(v uint64) {
 	c.drives++
 }
 
+// DriveRefs drives the address of every reference of block, in order.
+func (c *SwitchCounter) DriveRefs(block []trace.Ref) {
+	for _, r := range block {
+		c.Drive(r.Addr)
+	}
+}
+
 // Switches returns the total number of bit switches observed.
 func (c *SwitchCounter) Switches() uint64 { return c.switches }
 

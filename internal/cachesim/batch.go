@@ -1,16 +1,15 @@
 package cachesim
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"memexplore/internal/trace"
 )
 
-// CancelCheckInterval is how many references RunContext and
-// RunTraceContext process between context checks: a canceled context
-// stops a running batch within one interval.
+// CancelCheckInterval is the block size of core's sweep driver, which
+// checks its context between blocks: a canceled context stops a running
+// pass within one interval.
 const CancelCheckInterval = 8192
 
 // Batch simulates many cache configurations in a single pass over a
@@ -61,70 +60,13 @@ func (b *Batch) Run(src trace.Source) ([]Stats, error) {
 	return b.Stats(), nil
 }
 
-// RunContext is Run with cancellation: the context is checked every
-// CancelCheckInterval references, so a canceled or expired context stops
-// the pass within one interval and returns ctx.Err().
-func (b *Batch) RunContext(ctx context.Context, src trace.Source) ([]Stats, error) {
-	for n := 0; ; n++ {
-		if n%CancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		r, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("cachesim: batch reading trace: %w", err)
-		}
-		b.Access(r)
-	}
-	return b.Stats(), nil
-}
-
-// RunTraceContext drives an in-memory trace through every cache in one
-// pass — the sweep engine's hot path. The context is checked every
-// CancelCheckInterval references (a canceled context stops the pass
-// within one interval and returns ctx.Err()); observe, when non-nil, is
-// invoked for every reference in the same traversal, which lets callers
-// fuse per-trace measurements (e.g. address-bus switching) into the
-// simulation pass instead of re-scanning the trace.
-// The trace is walked in CancelCheckInterval-sized blocks, and within a
-// block each cache consumes the whole block before the next cache runs:
-// the per-cache state stays resident instead of every reference fanning
-// out across all caches, which dominates wall-clock for wide batches.
-// Statistics and final state are identical either way — caches do not
-// interact.
-func (b *Batch) RunTraceContext(ctx context.Context, tr *trace.Trace, observe func(trace.Ref)) ([]Stats, error) {
-	refs := tr.Refs()
-	for start := 0; ; start += CancelCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if start >= len(refs) {
-			break
-		}
-		end := min(start+CancelCheckInterval, len(refs))
-		block := refs[start:end]
-		if observe != nil {
-			for _, r := range block {
-				observe(r)
-			}
-		}
-		for _, c := range b.caches {
-			c.AccessBlock(block)
-		}
-	}
-	return b.Stats(), nil
-}
-
 // AccessBlock feeds a block of references to every cache, letting each
-// cache consume the whole block before the next runs (the cache-resident
-// traversal of RunTraceContext). It is the chunk-granular entry point for
-// streaming callers — e.g. the external-trace sweep, which reads a trace
-// once in fixed-size chunks and fans each chunk out to the batch —
-// producing statistics identical to per-reference Access in any chunking.
+// cache consume the whole block before the next runs: the per-cache
+// state stays resident instead of every reference fanning out across all
+// caches, which dominates wall-clock for wide batches. It is the
+// chunk-granular entry point of core's sweep driver, producing
+// statistics identical to per-reference Access in any chunking (caches
+// do not interact).
 func (b *Batch) AccessBlock(block []trace.Ref) {
 	for _, c := range b.caches {
 		c.AccessBlock(block)

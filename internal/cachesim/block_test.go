@@ -1,8 +1,6 @@
 package cachesim
 
 import (
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -72,73 +70,5 @@ func TestAccessBlockMatchesAccess(t *testing.T) {
 		if ref.Stats() != blk.Stats() {
 			t.Errorf("%+v: AccessBlock stats %+v != Access stats %+v", cfg, blk.Stats(), ref.Stats())
 		}
-	}
-}
-
-func TestRunTraceContextMatchesRun(t *testing.T) {
-	tr := blockTestTrace()
-	cfgs := []Config{
-		DefaultConfig(64, 8, 1),
-		DefaultConfig(256, 16, 2),
-		DefaultConfig(512, 8, 4),
-	}
-	want, err := RunBatch(cfgs, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewBatch(cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var observed int
-	got, err := b.RunTraceContext(context.Background(), tr, func(trace.Ref) { observed++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observed != tr.Len() {
-		t.Errorf("observe saw %d refs, want %d", observed, tr.Len())
-	}
-	for i := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("config %d: RunTraceContext %+v != Run %+v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestRunTraceContextCancel(t *testing.T) {
-	// A long synthetic trace, canceled from the observe callback: the pass
-	// must stop within one CancelCheckInterval of the cancellation point.
-	var tr trace.Trace
-	for i := 0; i < 3*CancelCheckInterval; i++ {
-		tr.Append(trace.Ref{Addr: uint64(i % 4096)})
-	}
-	b, err := NewBatch([]Config{DefaultConfig(64, 8, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	processed := 0
-	_, err = b.RunTraceContext(ctx, &tr, func(trace.Ref) {
-		processed++
-		if processed == 10 {
-			cancel()
-		}
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if processed > 10+CancelCheckInterval {
-		t.Errorf("processed %d refs after canceling at 10; want within one interval (%d)", processed, CancelCheckInterval)
-	}
-
-	// A pre-canceled context returns before touching any reference.
-	pre, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	touched := 0
-	if _, err := b.RunTraceContext(pre, &tr, func(trace.Ref) { touched++ }); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-canceled err = %v, want context.Canceled", err)
-	}
-	if touched != 0 {
-		t.Errorf("pre-canceled pass touched %d refs, want 0", touched)
 	}
 }

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"fmt"
 
 	"memexplore/internal/trace"
@@ -278,31 +277,6 @@ func (s *Sweep) AccessBlock(block []trace.Ref) {
 	if s.batch != nil {
 		s.batch.AccessBlock(block)
 	}
-}
-
-// RunTraceContext drives an in-memory trace through the sweep in one
-// pass, mirroring Batch.RunTraceContext: the context is checked every
-// CancelCheckInterval references, and observe (when non-nil) sees every
-// reference in the same traversal.
-func (s *Sweep) RunTraceContext(ctx context.Context, tr *trace.Trace, observe func(trace.Ref)) ([]Stats, error) {
-	refs := tr.Refs()
-	for start := 0; ; start += CancelCheckInterval {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if start >= len(refs) {
-			break
-		}
-		end := min(start+CancelCheckInterval, len(refs))
-		block := refs[start:end]
-		if observe != nil {
-			for _, r := range block {
-				observe(r)
-			}
-		}
-		s.AccessBlock(block)
-	}
-	return s.Stats(), nil
 }
 
 // Stats returns the per-configuration statistics in input order.

@@ -1,7 +1,6 @@
 package cachesim
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -91,10 +90,8 @@ func TestSweepMatchesIndividualCaches(t *testing.T) {
 				if s.InclusionGroups() == 0 {
 					t.Fatal("configuration set formed no inclusion groups")
 				}
-				got, err := s.RunTraceContext(context.Background(), tr, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				s.AccessBlock(tr.Refs())
+				got := s.Stats()
 				for i, cfg := range cfgs {
 					want, err := RunTraceFast(cfg, tr)
 					if err != nil {
@@ -131,10 +128,8 @@ func TestSweepMixedWritePolicies(t *testing.T) {
 	if got := s.InclusionGroups(); got != 1 {
 		t.Fatalf("InclusionGroups = %d, want 1 (same geometry throughout)", got)
 	}
-	got, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	got := s.Stats()
 	for i, cfg := range cfgs {
 		want, err := RunTraceFast(cfg, tr)
 		if err != nil {
@@ -193,10 +188,8 @@ func TestNewBatchSweep(t *testing.T) {
 		t.Fatalf("NewBatchSweep formed %d groups / %d fallbacks, want 0 / %d",
 			forced.InclusionGroups(), forced.FallbackConfigs(), len(cfgs))
 	}
-	got, err := forced.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	forced.AccessBlock(tr.Refs())
+	got := forced.Stats()
 	for i, cfg := range cfgs {
 		want, err := RunTraceFast(cfg, tr)
 		if err != nil {
@@ -217,33 +210,15 @@ func TestSweepReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	first := s.Stats()
 	s.Reset()
-	second, err := s.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s.AccessBlock(tr.Refs())
+	second := s.Stats()
 	for i := range first {
 		if first[i] != second[i] {
 			t.Fatalf("config %v: run after Reset diverges", cfgs[i])
 		}
-	}
-}
-
-// TestSweepCancel checks the chunk-boundary context contract.
-func TestSweepCancel(t *testing.T) {
-	tr := trace.Sequential(0, 3*CancelCheckInterval, 4)
-	s, err := NewSweep(sweepConfigs(true, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.RunTraceContext(ctx, tr, nil); err == nil {
-		t.Fatal("canceled context did not stop the sweep")
 	}
 }
 
@@ -281,19 +256,15 @@ func TestBatchReleaseReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := b1.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b1.AccessBlock(tr.Refs())
+	first := b1.Stats()
 	b1.Release()
 	b2, err := NewBatch([]Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := b2.RunTraceContext(context.Background(), tr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b2.AccessBlock(tr.Refs())
+	second := b2.Stats()
 	if first[0] != second[0] {
 		t.Fatalf("batch on pooled arrays diverges:\n first: %+v\n second: %+v", first[0], second[0])
 	}

@@ -8,14 +8,16 @@ package core
 // assignment targets — never on the cache's associativity or, for
 // sequential layouts, on the cache geometry at all. The engine therefore
 // partitions Options.Space() by traceKey, generates each workload's
-// trace exactly once, measures its Gray-code address-bus switching in
-// the same traversal, and drives every cache configuration of the group
-// through one cachesim.Batch pass (the Dinero IV single-pass trick).
-// Sequential-layout sweeps collapse the whole sizes×lines×assocs product
-// into one pass per tiling; optimized-layout sweeps collapse the
-// associativity dimension. Results are bit-identical to the per-point
-// reference engine (ExplorePerPointContext), in the same deterministic
-// Space() order.
+// trace exactly once, and hands it to the chunk driver of pipeline.go as
+// an in-memory block source: one pass drives every cache configuration
+// of the group (the Dinero IV single-pass trick) and measures the
+// Gray-code address-bus switching in the same traversal. Sequential-
+// layout sweeps collapse the whole sizes×lines×assocs product into one
+// pass per tiling; optimized-layout sweeps collapse the associativity
+// dimension. A pool of workers pulls groups, and workers beyond the
+// group count fan blocks out inside groups. Results are bit-identical to
+// the per-point reference engine (ExplorePerPointContext), in the same
+// deterministic Space() order.
 
 import (
 	"context"
@@ -180,9 +182,9 @@ func groupConfigs(opts Options, points []ConfigPoint, g workloadGroup) []cachesi
 // runWorkloadGroup simulates every configuration of one workload group
 // in a single pass over its trace, fusing the Gray-code bus measurement
 // into the same traversal, and writes the scored Metrics into out at
-// the group's point indices. fanWorkers > 1 fans each trace chunk out
-// across that many pass-unit shards (see runSweepTrace); results are
-// bit-identical at any value.
+// the group's point indices. fanWorkers > 1 fans each trace block out
+// across up to that many pass-unit shards; results are bit-identical at
+// any value.
 func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, points []ConfigPoint, g workloadGroup, out []Metrics, fanWorkers int) error {
 	tr, err := c.trace(g.key)
 	if err != nil {
@@ -193,13 +195,14 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 	if err != nil {
 		return fmt.Errorf("core: building sweep for %s/B%d: %w", c.nest.Name, g.key.tiling, err)
 	}
+	defer sweep.Release()
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	stats, err := runSweepTrace(ctx, sweep, tr, func(r trace.Ref) { ctr.Drive(r.Addr) }, fanWorkers)
-	if err != nil {
-		// The only error source for an in-memory trace is the context.
-		return canceled(err)
+	run := sweepRun{sweep: sweep, shards: fanShards(sweep, fanWorkers), bus: ctr}
+	if err := run.run(ctx, &memSource{refs: tr.Refs()}); err != nil {
+		return err // an in-memory trace fails only by cancellation
 	}
 	addBS := ctr.PerDrive()
+	stats := sweep.Stats()
 	for i, pi := range g.indices {
 		m, err := scoreStats(cfgs[i], points[pi].Tiling, opts.Energy, stats[i], addBS)
 		if err != nil {
@@ -211,7 +214,6 @@ func (c *workloadCache) runWorkloadGroup(ctx context.Context, opts Options, poin
 	if progress := progressFrom(ctx); progress != nil {
 		progress(ProgressEvent{Points: int64(len(g.indices)), PassUnits: int64(sweep.PassUnits())})
 	}
-	sweep.Release()
 	return nil
 }
 
@@ -255,11 +257,12 @@ func fanBudgets(unitCounts []int, workers int) []int {
 }
 
 // exploreBatched is the workload-grouped engine behind ExploreContext
-// and ExploreParallelContext for non-classified sweeps. workers > 1
-// parallelizes across workload groups over a shared trace cache; when
-// there are more workers than groups — the one-giant-group shape every
-// external-trace-like sweep has — the surplus fans out inside groups
-// across pass-unit shards instead of idling. The returned metrics are
+// and ExploreParallelContext for non-classified sweeps. A pool of
+// min(workers, groups) goroutines pulls workload groups over a shared
+// trace cache. When there are more workers than groups — the
+// one-giant-group shape every external-trace-like sweep has — each
+// group also gets a fan-out budget (fanBudgets), so the surplus shards
+// pass units inside groups instead of idling. The returned metrics are
 // bit-identical to the per-point reference engine, in Space() order.
 func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers int) ([]Metrics, error) {
 	if err := opts.Validate(); err != nil {
@@ -273,21 +276,11 @@ func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers i
 	out := make([]Metrics, len(points))
 	cache := newWorkloadCache(n)
 
-	if workers <= 1 {
-		for _, g := range groups {
-			if err := ctx.Err(); err != nil {
-				return nil, canceled(err)
-			}
-			if err := cache.runWorkloadGroup(ctx, opts, points, g, out, 1); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	budgets := make([]int, len(groups))
+	for i := range budgets {
+		budgets[i] = 1
 	}
-
 	if workers > len(groups) {
-		// More workers than groups: one goroutine per group, each given a
-		// shard fan-out budget proportional to the group's pass-unit count.
 		useInclusion := opts.Engine != EngineBatched && opts.inclusionEligible()
 		unitCounts := make([]int, len(groups))
 		for gi, g := range groups {
@@ -297,31 +290,14 @@ func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers i
 			}
 			unitCounts[gi] = su[0]
 		}
-		budgets := fanBudgets(unitCounts, workers)
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for gi, g := range groups {
-			wg.Add(1)
-			go func(gi int, g workloadGroup) {
-				defer wg.Done()
-				if err := ctx.Err(); err != nil {
-					errs[gi] = canceled(err)
-					return
-				}
-				errs[gi] = cache.runWorkloadGroup(ctx, opts, points, g, out, budgets[gi])
-			}(gi, g)
-		}
-		wg.Wait()
-		if err := firstSweepError(errs); err != nil {
-			return nil, err
-		}
-		return out, nil
+		budgets = fanBudgets(unitCounts, workers)
 	}
 
+	pool := min(workers, len(groups))
 	var next atomic.Int64
-	errs := make([]error, workers)
+	errs := make([]error, pool)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < pool; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -334,7 +310,7 @@ func exploreBatched(ctx context.Context, n *loopir.Nest, opts Options, workers i
 					errs[w] = canceled(err)
 					return
 				}
-				if err := cache.runWorkloadGroup(ctx, opts, points, groups[i], out, 1); err != nil {
+				if err := cache.runWorkloadGroup(ctx, opts, points, groups[i], out, budgets[i]); err != nil {
 					errs[w] = err
 					return
 				}

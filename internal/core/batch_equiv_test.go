@@ -60,7 +60,7 @@ func TestBatchedMatchesPerPoint(t *testing.T) {
 								t.Errorf("parallel batched metrics differ from per-point reference")
 								reportFirstDiff(t, par, want)
 							}
-							for _, eng := range []Engine{EnginePerPoint, EngineBatched, EngineInclusion} {
+							for _, eng := range []Engine{EnginePerPoint, EngineBatched, EngineAuto} {
 								fopts := opts
 								fopts.Engine = eng
 								forced, err := ExploreContext(ctx, n, fopts)

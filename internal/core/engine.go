@@ -26,10 +26,6 @@ const (
 	// inclusion grouping (one trace pass per workload, one cache model
 	// per configuration).
 	EngineBatched
-	// EngineInclusion behaves like EngineAuto: inclusion grouping with
-	// per-configuration fallback. It exists so "-engine inclusion" reads
-	// naturally next to "per-point" and "batched".
-	EngineInclusion
 )
 
 // String returns the flag spelling of the engine.
@@ -41,26 +37,22 @@ func (e Engine) String() string {
 		return "per-point"
 	case EngineBatched:
 		return "batched"
-	case EngineInclusion:
-		return "inclusion"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine parses a flag spelling ("auto", "per-point", "batched",
-// "inclusion"; "" means auto).
+// ParseEngine parses an engine's flag spelling ("auto", "per-point" or
+// "batched"; "" means auto).
 func ParseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "auto":
 		return EngineAuto, nil
-	case "per-point", "perpoint", "per_point":
+	case "per-point":
 		return EnginePerPoint, nil
-	case "batched", "batch":
+	case "batched":
 		return EngineBatched, nil
-	case "inclusion":
-		return EngineInclusion, nil
 	}
-	return EngineAuto, fmt.Errorf("core: unknown engine %q (want auto, per-point, batched or inclusion)", s)
+	return EngineAuto, fmt.Errorf("core: unknown engine %q (want auto, per-point or batched)", s)
 }
 
 // SweepPlan describes how a sweep's points partition into simulation pass

@@ -8,7 +8,7 @@ import (
 
 // TestParseEngine pins the flag spellings and String round trip.
 func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EngineAuto, EnginePerPoint, EngineBatched, EngineInclusion} {
+	for _, e := range []Engine{EngineAuto, EnginePerPoint, EngineBatched, EngineAuto} {
 		got, err := ParseEngine(e.String())
 		if err != nil || got != e {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)

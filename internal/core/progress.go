@@ -1,11 +1,11 @@
 package core
 
-// Per-sweep progress reporting. Unlike PipelineObserver — a process-wide
-// hook meant for gauges — progress callbacks are carried on the context,
-// so concurrent sweeps (the service's async jobs) each see only their
-// own events. The engines emit deltas at natural completion boundaries:
-// one event per retired trace chunk on the streaming engines, one event
-// per completed workload group (or config point) on the kernel engines.
+// Per-sweep progress reporting. Progress callbacks, like the
+// PipelineObserver gauges, are carried on the context, so concurrent
+// sweeps (the service's async jobs) each see only their own events. The
+// engines emit deltas at natural completion boundaries: one event per
+// retired trace chunk on external-trace sweeps, one event per completed
+// workload group (or config point) on kernel sweeps.
 
 import "context"
 

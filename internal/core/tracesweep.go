@@ -4,10 +4,11 @@ package core
 // batch.go (the inclusion-property stack sweep with its batch fallback)
 // driven not by a generated kernel trace but by an arbitrary application
 // trace streamed through internal/extrace. The whole (T, L, S) space is
-// evaluated in ONE sequential pass over the stream in constant memory —
-// the trace is never materialized — with the Gray-code bus measurement
-// fused into the same pass, exactly as the kernel engine fuses it into
-// trace generation.
+// evaluated in ONE pass over the stream in constant memory — the trace
+// is never materialized — on the chunk driver of pipeline.go, which
+// fuses the Gray-code bus measurement into the same pass exactly as it
+// does for kernel traces. Distributed shards (distsweep.go) are the same
+// sweep restricted to a subset of the points.
 
 import (
 	"context"
@@ -17,7 +18,6 @@ import (
 	"memexplore/internal/bus"
 	"memexplore/internal/cachesim"
 	"memexplore/internal/extrace"
-	"memexplore/internal/trace"
 )
 
 // traceChunkRefs is the streaming chunk size: the reader fills a chunk,
@@ -142,7 +142,7 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 	// Stream-thinning stages (exact sweeps leave filter nil and are
 	// bit-identical to previous releases): the dominant-block prepass
 	// reads the stream once and rewinds it, then the filter rides the
-	// coordinator of either engine.
+	// chunk driver's coordinator.
 	var filter *traceFilter
 	if opts.SampleRate > 0 || opts.DominantEps > 0 {
 		filter = newTraceFilter(opts)
@@ -178,12 +178,11 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		rd.SetChunkPolicy(filter.chunkVerdict)
 	}
 	ctr := bus.NewSwitchCounter(bus.Gray)
-	if workers := opts.effectiveWorkers(); workers > 1 && sweep.PassUnits() > 1 {
-		err = runTracePipeline(ctx, rd, sweep, ctr.Drive, workers, filter)
-	} else {
-		obsWorkers(1)
-		err = runTraceSequential(ctx, rd, sweep, ctr.Drive, filter)
-	}
+	shards := fanShards(sweep, opts.effectiveWorkers())
+	obs := pipelineObserverFrom(ctx)
+	obs.workers(max(1, len(shards)))
+	run := sweepRun{sweep: sweep, shards: shards, bus: ctr, filter: filter, progress: progressFrom(ctx)}
+	err = run.run(ctx, newStreamSource(rd, len(shards) > 1, obs))
 	if err != nil {
 		return nil, rd.Stats(), err
 	}
@@ -242,44 +241,6 @@ func exploreTraceSubset(ctx context.Context, r io.Reader, opts Options, ing extr
 		out[i] = m
 	}
 	return out, st, nil
-}
-
-// runTraceSequential is the exact single-goroutine engine (the
-// workers=1 path): read a chunk, drive the bus counter, feed every pass
-// unit, check the context, repeat. The pipelined engine is pinned
-// bit-identical to this loop by the equivalence tests.
-func runTraceSequential(ctx context.Context, rd *extrace.Reader, sweep *cachesim.Sweep, drive func(uint64), filter *traceFilter) error {
-	progress := progressFrom(ctx)
-	chunk := make([]trace.Ref, traceChunkRefs)
-	for {
-		if err := ctx.Err(); err != nil {
-			return canceled(err)
-		}
-		n, rerr := rd.Read(chunk)
-		if n > 0 {
-			block := chunk[:n]
-			if filter != nil {
-				block = filter.apply(block)
-			}
-			if len(block) > 0 {
-				for _, ref := range block {
-					drive(ref.Addr)
-				}
-				sweep.AccessBlock(block)
-			}
-			if progress != nil {
-				// Progress counts the records read, not the (thinned)
-				// records simulated, so percent-done tracks the stream.
-				progress(ProgressEvent{Records: int64(n), Chunks: 1})
-			}
-		}
-		if rerr == io.EOF {
-			return nil
-		}
-		if rerr != nil {
-			return fmt.Errorf("core: ingesting trace: %w", rerr)
-		}
-	}
 }
 
 // ExploreTrace is ExploreTraceReader with a background context.

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -26,6 +27,14 @@ func distPair(t *testing.T) (*Server, *Server, string) {
 	ts := httptest.NewServer(peer)
 	coord := MustNew(Config{MaxConcurrentSweeps: 2, CacheEntries: 8, JobsDir: dir, MaxBodyBytes: 64 << 20, Peers: []string{ts.URL}})
 	t.Cleanup(func() {
+		// A job's state reads done before its runner persists the record
+		// to the shared directory: drain both runners before the
+		// directory is removed.
+		for _, s := range []*Server{coord, peer} {
+			if err := s.Shutdown(context.Background()); err != nil {
+				t.Error(err)
+			}
+		}
 		ts.Close()
 	})
 	return coord, peer, ts.URL

@@ -25,21 +25,20 @@ import (
 // The stable machine-readable error codes of the v1 API. Documented in
 // docs/SERVICE.md; tests assert every failure path emits one of these.
 const (
-	CodeInvalidRequest     = "invalid_request"     // 400: malformed body or missing/contradictory fields
-	CodeInvalidKernel      = "invalid_kernel"      // 400: inline source does not parse or validate
-	CodeUnknownKernel      = "unknown_kernel"      // 404: kernel name not in the registry
-	CodeInvalidOptions     = "invalid_options"     // 400: options fail validation (field set)
-	CodeInvalidSearch      = "invalid_search"      // 400: search options or budget fail validation (field set)
-	CodeConflictingOptions = "conflicting_options" // 400: options header and query parameters both present
-	CodeInvalidTrace       = "invalid_trace"       // 400: malformed trace record (location in message)
-	CodeEmptyTrace         = "empty_trace"         // 400: trace stream held no records
-	CodeRecordLimit        = "record_limit"        // 400: trace exceeded max_records
-	CodeBodyTooLarge       = "body_too_large"      // 413: request body over the size limit
-	CodeUnknownJob         = "unknown_job"         // 404: no job with that id
-	CodeUnknownTraceRef    = "unknown_trace_ref"   // 404: trace_ref names no blob in the shared store
-	CodeDraining           = "draining"            // 503: server is shutting down
-	CodeCanceled           = "canceled"            // 499: request or job canceled mid-sweep
-	CodeInternal           = "internal"            // 500: unexpected engine failure
+	CodeInvalidRequest  = "invalid_request"   // 400: malformed body or missing/contradictory fields
+	CodeInvalidKernel   = "invalid_kernel"    // 400: inline source does not parse or validate
+	CodeUnknownKernel   = "unknown_kernel"    // 404: kernel name not in the registry
+	CodeInvalidOptions  = "invalid_options"   // 400: options fail validation (field set)
+	CodeInvalidSearch   = "invalid_search"    // 400: search options or budget fail validation (field set)
+	CodeInvalidTrace    = "invalid_trace"     // 400: malformed trace record (location in message)
+	CodeEmptyTrace      = "empty_trace"       // 400: trace stream held no records
+	CodeRecordLimit     = "record_limit"      // 400: trace exceeded max_records
+	CodeBodyTooLarge    = "body_too_large"    // 413: request body over the size limit
+	CodeUnknownJob      = "unknown_job"       // 404: no job with that id
+	CodeUnknownTraceRef = "unknown_trace_ref" // 404: trace_ref names no blob in the shared store
+	CodeDraining        = "draining"          // 503: server is shutting down
+	CodeCanceled        = "canceled"          // 499: request or job canceled mid-sweep
+	CodeInternal        = "internal"          // 500: unexpected engine failure
 )
 
 // KnownErrorCodes is the closed set of codes v1 endpoints may emit —
@@ -47,7 +46,7 @@ const (
 // checks) can assert against it.
 var KnownErrorCodes = []string{
 	CodeInvalidRequest, CodeInvalidKernel, CodeUnknownKernel,
-	CodeInvalidOptions, CodeInvalidSearch, CodeConflictingOptions, CodeInvalidTrace,
+	CodeInvalidOptions, CodeInvalidSearch, CodeInvalidTrace,
 	CodeEmptyTrace, CodeRecordLimit, CodeBodyTooLarge, CodeUnknownJob,
 	CodeUnknownTraceRef,
 	CodeDraining, CodeCanceled, CodeInternal,
@@ -190,7 +189,7 @@ func engineName(opts core.Options, plan core.SweepPlan) string {
 	case opts.Classify || opts.Engine == core.EnginePerPoint:
 		return core.EnginePerPoint.String()
 	case plan.InclusionGroups > 0:
-		return core.EngineInclusion.String()
+		return "inclusion"
 	default:
 		return core.EngineBatched.String()
 	}

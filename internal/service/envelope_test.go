@@ -12,8 +12,8 @@ import (
 )
 
 // postTraceHeader posts a trace with the TraceRequest JSON riding in the
-// X-Memexplore-Options header (the v1 form), optionally alongside a
-// query string to provoke the conflict path.
+// X-Memexplore-Options header, optionally alongside a query string to
+// provoke its refusal.
 func postTraceHeader(t *testing.T, s *Server, header, query string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	path := "/v1/explore-trace"
@@ -27,9 +27,8 @@ func postTraceHeader(t *testing.T, s *Server, header, query string, body []byte)
 	return w
 }
 
-// TestTraceOptionsHeaderForm: the header form is the primary wire shape;
-// the query string remains a deprecated alias that must sweep
-// identically for an equivalent option set.
+// TestTraceOptionsHeaderForm: the header form is the wire shape of trace
+// options; the kind field is optional and changes nothing.
 func TestTraceOptionsHeaderForm(t *testing.T) {
 	s := newTestServer(t)
 	din := kernelDin(t)
@@ -39,17 +38,16 @@ func TestTraceOptionsHeaderForm(t *testing.T) {
 	if hw.Code != http.StatusOK {
 		t.Fatalf("header form status = %d: %s", hw.Code, hw.Body)
 	}
-	qw := postTrace(t, s, traceQueryString, din)
+	qw := postTrace(t, s, traceSpaceHeader, din)
 	if qw.Code != http.StatusOK {
-		t.Fatalf("query form status = %d: %s", qw.Code, qw.Body)
+		t.Fatalf("kind-less header status = %d: %s", qw.Code, qw.Body)
 	}
 	hr, qr := decodeTrace(t, hw), decodeTrace(t, qw)
 	if !reflect.DeepEqual(hr.Metrics, qr.Metrics) || hr.Points != qr.Points {
-		t.Error("header form and deprecated query alias sweep differently")
+		t.Error("header with and without kind sweep differently")
 	}
 
-	// The header form reaches ingest/bound options the query alias also
-	// has: max_records via header behaves like the query parameter.
+	// The header reaches the ingest options: max_records applies.
 	limited := postTraceHeader(t, s, `{"max_records":1}`, "", []byte("0 10\n0 20\n"))
 	if limited.Code != http.StatusBadRequest {
 		t.Fatalf("max_records via header: status = %d", limited.Code)
@@ -59,17 +57,20 @@ func TestTraceOptionsHeaderForm(t *testing.T) {
 	}
 }
 
-// TestTraceOptionsConflict: options in both the header and the query
-// string is an error, not a precedence rule.
+// TestTraceOptionsConflict: query parameters, with or without the
+// options header, are refused with invalid_options naming the header —
+// never silently ignored.
 func TestTraceOptionsConflict(t *testing.T) {
 	s := newTestServer(t)
-	w := postTraceHeader(t, s, `{"options":{"cache_sizes":[32]}}`, traceQueryString, []byte("0 10\n"))
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", w.Code)
-	}
-	e := decodeError(t, w)
-	if e.Code != CodeConflictingOptions {
-		t.Errorf("code = %q, want %q", e.Code, CodeConflictingOptions)
+	for _, header := range []string{`{"options":{"cache_sizes":[32]}}`, ""} {
+		w := postTraceHeader(t, s, header, "sizes=32,64&lines=4,8&assocs=1", []byte("0 10\n"))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("header %q: status = %d, want 400", header, w.Code)
+		}
+		e := decodeError(t, w)
+		if e.Code != CodeInvalidOptions || !strings.Contains(e.Message, OptionsHeader) {
+			t.Errorf("header %q: error = %+v, want %s naming %s", header, e, CodeInvalidOptions, OptionsHeader)
+		}
 	}
 }
 
@@ -111,12 +112,13 @@ func TestErrorEnvelopeSweep(t *testing.T) {
 		{"search bad options", shared, "POST", "/v1/search", jsonHdr,
 			`{"kernel":"matadd","options":{"tilings":[0]},"budget":{"max_generations":1}}`, 400, CodeInvalidOptions},
 		{"search wrong kind", shared, "POST", "/v1/search", jsonHdr, `{"kind":"explore","kernel":"matadd","budget":{"max_generations":1}}`, 400, CodeInvalidRequest},
-		{"trace conflicting options", shared, "POST", "/v1/explore-trace?" + traceQueryString,
-			http.Header{OptionsHeader: {`{}`}}, "0 10\n", 400, CodeConflictingOptions},
-		{"trace malformed record", shared, "POST", "/v1/explore-trace?" + traceQueryString, nil, "wat\n", 400, CodeInvalidTrace},
-		{"trace empty", shared, "POST", "/v1/explore-trace?" + traceQueryString, nil, "", 400, CodeEmptyTrace},
-		{"trace record limit", shared, "POST", "/v1/explore-trace?" + traceQueryString + "&max_records=1", nil, "0 10\n0 20\n", 400, CodeRecordLimit},
-		{"trace body too large", tiny, "POST", "/v1/explore-trace?" + traceQueryString, nil,
+		{"trace conflicting options", shared, "POST", "/v1/explore-trace?sizes=32",
+			http.Header{OptionsHeader: {`{}`}}, "0 10\n", 400, CodeInvalidOptions},
+		{"trace malformed record", shared, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {traceSpaceHeader}}, "wat\n", 400, CodeInvalidTrace},
+		{"trace empty", shared, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {traceSpaceHeader}}, "", 400, CodeEmptyTrace},
+		{"trace record limit", shared, "POST", "/v1/explore-trace",
+			http.Header{OptionsHeader: {traceHeader("", `"max_records":1`)}}, "0 10\n0 20\n", 400, CodeRecordLimit},
+		{"trace body too large", tiny, "POST", "/v1/explore-trace", http.Header{OptionsHeader: {traceSpaceHeader}},
 			strings.Repeat("0 10\n", 100), 413, CodeBodyTooLarge},
 		{"job unknown", shared, "GET", "/v1/jobs/beefbeef", nil, "", 404, CodeUnknownJob},
 		{"trace unknown ref", shared, "POST", "/v1/explore-trace",
@@ -219,7 +221,7 @@ func TestResultMetaOnSuccess(t *testing.T) {
 	}
 
 	// Trace sweep: batched-family engine plus a plan.
-	tw := postTrace(t, s, traceQueryString, kernelDin(t))
+	tw := postTrace(t, s, traceSpaceHeader, kernelDin(t))
 	if tw.Code != http.StatusOK {
 		t.Fatalf("trace = %d: %s", tw.Code, tw.Body)
 	}

@@ -93,13 +93,6 @@ type counters struct {
 
 var vars = func() *counters {
 	c := &counters{chunkStall: latencyHist{bounds: stallBoundsMS}}
-	core.SetPipelineObserver(&core.PipelineObserver{
-		Workers:        func(n int) { c.traceWorkers.Set(int64(n)) },
-		ChunksInflight: func(delta int) { c.chunksInflight.Add(int64(delta)) },
-		ChunkStall: func(d time.Duration) {
-			c.chunkStall.Observe(float64(d) / float64(time.Millisecond))
-		},
-	})
 	m := expvar.NewMap("memexplored")
 	m.Set("requests", &c.requests)
 	m.Set("cache_hits", &c.cacheHits)
@@ -140,6 +133,18 @@ var vars = func() *counters {
 	m.Set("search_memo_hits", &c.searchMemoHits)
 	return c
 }()
+
+// pipelineObserver feeds the trace-pipeline gauges; each Server
+// installs it on the context of the trace sweeps it runs.
+func (c *counters) pipelineObserver() *core.PipelineObserver {
+	return &core.PipelineObserver{
+		Workers:        func(n int) { c.traceWorkers.Set(int64(n)) },
+		ChunksInflight: func(delta int) { c.chunksInflight.Add(int64(delta)) },
+		ChunkStall: func(d time.Duration) {
+			c.chunkStall.Observe(float64(d) / float64(time.Millisecond))
+		},
+	}
+}
 
 // latencyBoundsMS are the default histogram bucket upper bounds in
 // milliseconds; the final implicit bucket is +Inf.

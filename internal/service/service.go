@@ -121,6 +121,8 @@ type Server struct {
 	runner   *jobs.Runner
 	draining atomic.Bool
 	inflight sync.WaitGroup
+	// pipeObs reports trace sweeps' pipeline events to the expvar gauges.
+	pipeObs *core.PipelineObserver
 	// fsStore is non-nil when JobsDir is configured: the shared tier
 	// distributed sweeps publish trace blobs to, and the store the
 	// cleanup janitor sweeps.
@@ -152,6 +154,7 @@ func New(cfg Config) (*Server, error) {
 		sem:        make(chan struct{}, cfg.MaxConcurrentSweeps),
 		fsStore:    fsStore,
 		peerClient: &http.Client{}, // per-request deadlines come from contexts
+		pipeObs:    vars.pipelineObserver(),
 	}
 	if fsStore != nil {
 		s.janitorStop = make(chan struct{})

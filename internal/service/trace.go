@@ -5,9 +5,8 @@ package service
 // gzip transparently detected — streamed straight into the single-pass
 // batched sweep without ever being materialized, so the body-size limit
 // (not memory) bounds the trace. Sweep options ride in the
-// X-Memexplore-Options header as a TraceRequest JSON document; the
-// query-string form is kept as a deprecated alias. Supplying both is a
-// conflicting_options error.
+// X-Memexplore-Options header as a TraceRequest JSON document; a request
+// with query parameters is refused with invalid_options.
 
 import (
 	"bytes"
@@ -16,10 +15,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -34,8 +31,7 @@ const OptionsHeader = "X-Memexplore-Options"
 // TraceRequest is the JSON options form of a trace sweep — the
 // X-Memexplore-Options header value on /v1/explore-trace and on trace
 // job submissions. Options goes through the same decoder as the JSON
-// endpoints (full core.Options overlay, unknown fields rejected), which
-// the query-string alias cannot express.
+// endpoints (full core.Options overlay, unknown fields rejected).
 type TraceRequest struct {
 	// Kind optionally names the request shape; "explore-trace" here.
 	Kind string `json:"kind,omitempty"`
@@ -93,8 +89,7 @@ type TraceExploreResponse struct {
 	Ingest  extrace.IngestStats `json:"ingest"`
 }
 
-// traceQuery is the resolved option set of an explore-trace request,
-// whichever wire form it arrived in.
+// traceQuery is the resolved option set of an explore-trace request.
 type traceQuery struct {
 	opts          core.Options
 	ing           extrace.Options
@@ -113,22 +108,21 @@ type traceQuery struct {
 }
 
 // resolveTraceRequest decodes a trace sweep's options from the
-// X-Memexplore-Options header (the v1 form) or the query string (the
-// deprecated alias). Supplying both is rejected rather than resolved by
-// precedence: silently preferring one would mask a client bug.
+// X-Memexplore-Options header; no header means the defaults. Query
+// parameters are refused, not ignored: earlier releases read options
+// from them, and silently dropping them would run a sweep the client
+// did not ask for.
 func resolveTraceRequest(r *http.Request) (traceQuery, error) {
-	header := r.Header.Get(OptionsHeader)
-	if header == "" {
-		return parseTraceQuery(r.URL.Query())
-	}
-	if len(r.URL.Query()) > 0 {
-		return traceQuery{}, httpError(http.StatusBadRequest, CodeConflictingOptions,
-			"sweep options supplied both in the "+OptionsHeader+" header and the query string; use the header", "")
+	if r.URL.RawQuery != "" {
+		return traceQuery{}, httpError(http.StatusBadRequest, CodeInvalidOptions,
+			"query parameters are not accepted: send sweep options as JSON in the "+OptionsHeader+" header", "")
 	}
 	var tr TraceRequest
-	if err := decodeBody(strings.NewReader(header), &tr); err != nil {
-		return traceQuery{}, httpError(http.StatusBadRequest, CodeInvalidOptions,
-			OptionsHeader+" header: "+err.Error(), "")
+	if header := r.Header.Get(OptionsHeader); header != "" {
+		if err := decodeBody(strings.NewReader(header), &tr); err != nil {
+			return traceQuery{}, httpError(http.StatusBadRequest, CodeInvalidOptions,
+				OptionsHeader+" header: "+err.Error(), "")
+		}
 	}
 	return resolveTraceOptions(tr)
 }
@@ -186,84 +180,6 @@ func isHex64(s string) bool {
 		}
 	}
 	return true
-}
-
-// parseTraceQuery decodes the deprecated query-string alias strictly:
-// unknown keys and malformed values are errors, mirroring decodeBody's
-// unknown-field policy. Recognized keys: sizes, lines, assocs
-// (comma-separated ints), em (main-memory nJ/access), max_records,
-// skip_malformed, cycle_bound, energy_bound_nj, workers, shards.
-func parseTraceQuery(q url.Values) (traceQuery, error) {
-	tq := traceQuery{opts: core.DefaultOptions()}
-	for key, vals := range q {
-		if len(vals) != 1 {
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "parameter repeated"}
-		}
-		v := vals[0]
-		var err error
-		switch key {
-		case "sizes":
-			tq.opts.CacheSizes, err = parseIntList(v)
-		case "lines":
-			tq.opts.LineSizes, err = parseIntList(v)
-		case "assocs":
-			tq.opts.Assocs, err = parseIntList(v)
-		case "em":
-			var em float64
-			if em, err = strconv.ParseFloat(v, 64); err == nil {
-				tq.opts.Energy.Main.EmNJ = em
-				tq.opts.Energy.Main.Name = "custom (em=" + v + " nJ)"
-			}
-		case "sample_rate":
-			tq.opts.SampleRate, err = strconv.ParseFloat(v, 64)
-		case "sample_seed":
-			tq.opts.SampleSeed, err = strconv.ParseUint(v, 10, 64)
-		case "dominant_eps":
-			tq.opts.DominantEps, err = strconv.ParseFloat(v, 64)
-		case "max_records":
-			tq.ing.MaxRecords, err = strconv.ParseInt(v, 10, 64)
-		case "skip_malformed":
-			tq.ing.SkipMalformed, err = strconv.ParseBool(v)
-		case "cycle_bound":
-			tq.cycleBound, err = strconv.ParseFloat(v, 64)
-		case "energy_bound_nj":
-			tq.energyBoundNJ, err = strconv.ParseFloat(v, 64)
-		case "workers":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil && n < 0 {
-				return tq, &core.ErrInvalidOptions{Field: key, Reason: "workers must be ≥ 0 (0 = server default)"}
-			}
-			tq.workers = n
-		case "shards":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil && (n < -1 || n > maxShards) {
-				return tq, &core.ErrInvalidOptions{Field: key,
-					Reason: fmt.Sprintf("shards must be between -1 (auto) and %d, got %d", maxShards, n)}
-			}
-			tq.shards = n
-		default:
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "unknown query parameter"}
-		}
-		if err != nil {
-			return tq, &core.ErrInvalidOptions{Field: key, Reason: "bad value " + strconv.Quote(v)}
-		}
-	}
-	tq.opts = tq.opts.Normalize()
-	return tq, nil
-}
-
-// parseIntList parses "16,32,64".
-func parseIntList(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 func (s *Server) handleExploreTrace(w http.ResponseWriter, r *http.Request) {
@@ -427,6 +343,7 @@ func (s *Server) traceSweep(ctx context.Context, body io.Reader, tq traceQuery, 
 		}
 	}
 
+	ctx = core.WithPipelineObserver(ctx, s.pipeObs)
 	var (
 		ms  []core.Metrics
 		st  extrace.IngestStats

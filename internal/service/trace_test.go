@@ -16,8 +16,27 @@ import (
 	"memexplore/internal/loopir"
 )
 
-// traceQueryString is the fast sweep space for the trace tests.
-const traceQueryString = "sizes=32,64&lines=4,8&assocs=1"
+// traceSpaceOptions is the fast sweep space of the trace tests, as
+// members of the options object of an X-Memexplore-Options document.
+const traceSpaceOptions = `"cache_sizes":[32,64],"line_sizes":[4,8],"assocs":[1]`
+
+// traceHeader renders an X-Memexplore-Options document over the fast
+// sweep space: options adds members to its options object and fields
+// adds top-level TraceRequest members ("" adds none).
+func traceHeader(options, fields string) string {
+	o := traceSpaceOptions
+	if options != "" {
+		o += "," + options
+	}
+	h := `{"options":{` + o + `}`
+	if fields != "" {
+		h += "," + fields
+	}
+	return h + "}"
+}
+
+// traceSpaceHeader sweeps the fast space with default settings.
+var traceSpaceHeader = traceHeader("", "")
 
 // kernelDin renders a paper kernel's trace in the din text format.
 func kernelDin(t *testing.T) []byte {
@@ -38,13 +57,14 @@ func kernelDin(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-func postTrace(t *testing.T, s *Server, query string, body []byte) *httptest.ResponseRecorder {
+// postTrace posts a trace to /v1/explore-trace with header as its
+// X-Memexplore-Options value ("" sends none).
+func postTrace(t *testing.T, s *Server, header string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
-	path := "/v1/explore-trace"
-	if query != "" {
-		path += "?" + query
+	req := httptest.NewRequest("POST", "/v1/explore-trace", bytes.NewReader(body))
+	if header != "" {
+		req.Header.Set(OptionsHeader, header)
 	}
-	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, req)
 	return w
@@ -62,7 +82,7 @@ func decodeTrace(t *testing.T, w *httptest.ResponseRecorder) TraceExploreRespons
 func TestExploreTraceHappyPath(t *testing.T) {
 	s := newTestServer(t)
 	din := kernelDin(t)
-	w := postTrace(t, s, traceQueryString, din)
+	w := postTrace(t, s, traceSpaceHeader, din)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -99,7 +119,7 @@ func TestExploreTraceGzipBody(t *testing.T) {
 	if err := zw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w := postTrace(t, s, traceQueryString, gz.Bytes())
+	w := postTrace(t, s, traceSpaceHeader, gz.Bytes())
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -109,7 +129,7 @@ func TestExploreTraceGzipBody(t *testing.T) {
 	}
 
 	// The compressed and plain bodies must sweep identically.
-	plain := decodeTrace(t, postTrace(t, s, traceQueryString, din))
+	plain := decodeTrace(t, postTrace(t, s, traceSpaceHeader, din))
 	for i := range plain.Metrics {
 		if plain.Metrics[i] != resp.Metrics[i] {
 			t.Fatalf("point %d differs between plain and gzip bodies", i)
@@ -119,7 +139,7 @@ func TestExploreTraceGzipBody(t *testing.T) {
 
 func TestExploreTraceMalformedBody(t *testing.T) {
 	s := newTestServer(t)
-	w := postTrace(t, s, traceQueryString, []byte("0 10\n1 20\nnot a record\n"))
+	w := postTrace(t, s, traceSpaceHeader, []byte("0 10\n1 20\nnot a record\n"))
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -131,7 +151,7 @@ func TestExploreTraceMalformedBody(t *testing.T) {
 
 func TestExploreTraceSkipMalformed(t *testing.T) {
 	s := newTestServer(t)
-	w := postTrace(t, s, traceQueryString+"&skip_malformed=true", []byte("0 10\nbogus\n1 20\n"))
+	w := postTrace(t, s, traceHeader("", `"skip_malformed":true`), []byte("0 10\nbogus\n1 20\n"))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -143,7 +163,7 @@ func TestExploreTraceSkipMalformed(t *testing.T) {
 
 func TestExploreTraceBodyTooLarge(t *testing.T) {
 	s := MustNew(Config{MaxBodyBytes: 64})
-	w := postTrace(t, s, traceQueryString, bytes.Repeat([]byte("0 10\n"), 100))
+	w := postTrace(t, s, traceSpaceHeader, bytes.Repeat([]byte("0 10\n"), 100))
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -155,22 +175,23 @@ func TestExploreTraceBodyTooLarge(t *testing.T) {
 func TestExploreTraceErrorCases(t *testing.T) {
 	s := newTestServer(t)
 	cases := []struct {
-		name  string
-		query string
-		body  string
-		code  string
+		name   string
+		header string
+		body   string
+		code   string
 	}{
-		{"empty body", traceQueryString, "", "empty_trace"},
-		{"comments only", traceQueryString, "# nothing\n", "empty_trace"},
-		{"record limit", traceQueryString + "&max_records=1", "0 10\n0 20\n", "record_limit"},
-		{"unknown param", traceQueryString + "&bogus=1", "0 10\n", "invalid_options"},
-		{"bad list", "sizes=big", "0 10\n", "invalid_options"},
-		{"classify unsupported via unknown key", "classify=true", "0 10\n", "invalid_options"},
-		{"invalid space", "sizes=16&lines=16", "0 10\n", "invalid_options"},
+		{"empty body", traceSpaceHeader, "", "empty_trace"},
+		{"comments only", traceSpaceHeader, "# nothing\n", "empty_trace"},
+		{"record limit", traceHeader("", `"max_records":1`), "0 10\n0 20\n", "record_limit"},
+		{"unknown param", traceHeader("", `"bogus":1`), "0 10\n", "invalid_options"},
+		{"bad list", `{"options":{"cache_sizes":"big"}}`, "0 10\n", "invalid_options"},
+		{"classify unsupported via unknown key", traceHeader("", `"classify":true`), "0 10\n", "invalid_options"},
+		{"classify unsupported", `{"options":{"classify":true}}`, "0 10\n", "invalid_options"},
+		{"invalid space", `{"options":{"cache_sizes":[16],"line_sizes":[16]}}`, "0 10\n", "invalid_options"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := postTrace(t, s, tc.query, []byte(tc.body))
+			w := postTrace(t, s, tc.header, []byte(tc.body))
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, body %s", w.Code, w.Body)
 			}
@@ -186,7 +207,7 @@ func TestExploreTraceCountersAdvance(t *testing.T) {
 	before := vars.traceRecords.Value()
 	beforeBytes := vars.traceBytesRead.Value()
 	din := kernelDin(t)
-	if w := postTrace(t, s, traceQueryString, din); w.Code != http.StatusOK {
+	if w := postTrace(t, s, traceSpaceHeader, din); w.Code != http.StatusOK {
 		t.Fatalf("status = %d", w.Code)
 	}
 	if got := vars.traceRecords.Value() - before; got == 0 {
@@ -198,7 +219,7 @@ func TestExploreTraceCountersAdvance(t *testing.T) {
 
 	// Rejected requests still account for what was ingested.
 	beforeRejects := vars.traceRejects.Value()
-	postTrace(t, s, traceQueryString+"&skip_malformed=true&max_records=1", []byte("0 10\nbogus\n0 20\n"))
+	postTrace(t, s, traceHeader("", `"skip_malformed":true,"max_records":1`), []byte("0 10\nbogus\n0 20\n"))
 	if vars.traceRejects.Value() == beforeRejects {
 		t.Error("trace_rejects did not advance on a skip-mode request")
 	}
@@ -209,13 +230,13 @@ func TestExploreTraceDraining(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	w := postTrace(t, s, traceQueryString, []byte("0 10\n"))
+	w := postTrace(t, s, traceSpaceHeader, []byte("0 10\n"))
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 while draining", w.Code)
 	}
 }
 
-// TestExploreTraceWorkersParam pins the workers= query parameter: the
+// TestExploreTraceWorkersParam pins the workers option: the
 // client request is clamped to the server-side cap, the engine reports
 // the actual shard count through the trace_workers gauge, and the
 // pipeline's ring drains back to empty after every request.
@@ -227,7 +248,7 @@ func TestExploreTraceWorkersParam(t *testing.T) {
 	stallBefore := vars.chunkStall.count.Load()
 
 	// workers=2 under a cap of 4: two shards run.
-	if w := postTrace(t, s, traceQueryString+"&workers=2", din); w.Code != http.StatusOK {
+	if w := postTrace(t, s, traceHeader("", `"workers":2`), din); w.Code != http.StatusOK {
 		t.Fatalf("workers=2 status = %d: %s", w.Code, w.Body.String())
 	}
 	if got := vars.traceWorkers.Value(); got != 2 {
@@ -236,7 +257,7 @@ func TestExploreTraceWorkersParam(t *testing.T) {
 
 	// workers=100 is clamped to the cap (4); the space has 4 pass units,
 	// so 4 shards run.
-	if w := postTrace(t, s, traceQueryString+"&workers=100", din); w.Code != http.StatusOK {
+	if w := postTrace(t, s, traceHeader("", `"workers":100`), din); w.Code != http.StatusOK {
 		t.Fatalf("workers=100 status = %d: %s", w.Code, w.Body.String())
 	}
 	if got := vars.traceWorkers.Value(); got != 4 {
@@ -244,7 +265,7 @@ func TestExploreTraceWorkersParam(t *testing.T) {
 	}
 
 	// workers=1 forces the exact sequential engine.
-	if w := postTrace(t, s, traceQueryString+"&workers=1", din); w.Code != http.StatusOK {
+	if w := postTrace(t, s, traceHeader("", `"workers":1`), din); w.Code != http.StatusOK {
 		t.Fatalf("workers=1 status = %d: %s", w.Code, w.Body.String())
 	}
 	if got := vars.traceWorkers.Value(); got != 1 {
@@ -259,22 +280,22 @@ func TestExploreTraceWorkersParam(t *testing.T) {
 	}
 
 	// Equal results at every worker count.
-	r1 := decodeTrace(t, postTrace(t, s, traceQueryString+"&workers=1", din))
-	r4 := decodeTrace(t, postTrace(t, s, traceQueryString+"&workers=4", din))
+	r1 := decodeTrace(t, postTrace(t, s, traceHeader("", `"workers":1`), din))
+	r4 := decodeTrace(t, postTrace(t, s, traceHeader("", `"workers":4`), din))
 	if !reflect.DeepEqual(r1.Metrics, r4.Metrics) || r1.Ingest.Records != r4.Ingest.Records {
 		t.Error("workers=1 and workers=4 responses diverge")
 	}
 }
 
 // TestExploreTraceSampling pins the sampled-sweep surface of the
-// endpoint: the query alias, the response envelope, the expvars, and
+// endpoint: the options header, the response envelope, the expvars, and
 // determinism across identical requests.
 func TestExploreTraceSampling(t *testing.T) {
 	s := newTestServer(t)
 	din := kernelDin(t)
 
 	sampledBefore := vars.traceSampledRecords.Value()
-	w := postTrace(t, s, traceQueryString+"&sample_rate=0.5&sample_seed=7", din)
+	w := postTrace(t, s, traceHeader(`"sample_rate":0.5,"sample_seed":7`, ""), din)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -299,13 +320,13 @@ func TestExploreTraceSampling(t *testing.T) {
 	}
 
 	// Identical sampled requests are deterministic.
-	again := decodeTrace(t, postTrace(t, s, traceQueryString+"&sample_rate=0.5&sample_seed=7", din))
+	again := decodeTrace(t, postTrace(t, s, traceHeader(`"sample_rate":0.5,"sample_seed":7`, ""), din))
 	if !reflect.DeepEqual(again.Metrics, resp.Metrics) {
 		t.Error("identical sampled requests diverge")
 	}
 
 	// An exact request resets the gauge and carries no sample envelope.
-	w = postTrace(t, s, traceQueryString, din)
+	w = postTrace(t, s, traceSpaceHeader, din)
 	if exact := decodeTrace(t, w); exact.Sample != nil {
 		t.Errorf("exact response carries a sample envelope: %+v", exact.Sample)
 	}
@@ -338,7 +359,7 @@ func TestExploreTraceSamplingHeader(t *testing.T) {
 func TestExploreTraceDominantEps(t *testing.T) {
 	s := newTestServer(t)
 	din := kernelDin(t)
-	w := postTrace(t, s, traceQueryString+"&dominant_eps=0.1", din)
+	w := postTrace(t, s, traceHeader(`"dominant_eps":0.1`, ""), din)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", w.Code, w.Body)
 	}
@@ -356,9 +377,9 @@ func TestExploreTraceDominantEps(t *testing.T) {
 // TestExploreTraceSamplingValidation rejects out-of-range knobs.
 func TestExploreTraceSamplingValidation(t *testing.T) {
 	s := newTestServer(t)
-	for _, q := range []string{"sample_rate=1.5", "sample_rate=-1", "sample_rate=abc",
-		"dominant_eps=0.9", "dominant_eps=x", "sample_seed=-1"} {
-		w := postTrace(t, s, traceQueryString+"&"+q, []byte("0 10\n"))
+	for _, q := range []string{`"sample_rate":1.5`, `"sample_rate":-1`, `"sample_rate":"abc"`,
+		`"dominant_eps":0.9`, `"dominant_eps":"x"`, `"sample_seed":-1`} {
+		w := postTrace(t, s, traceHeader(q, ""), []byte("0 10\n"))
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", q, w.Code)
 		}
@@ -371,8 +392,8 @@ func TestExploreTraceSamplingValidation(t *testing.T) {
 // TestExploreTraceWorkersValidation rejects malformed workers values.
 func TestExploreTraceWorkersValidation(t *testing.T) {
 	s := newTestServer(t)
-	for _, q := range []string{"workers=-1", "workers=abc", "workers=2&workers=3"} {
-		w := postTrace(t, s, traceQueryString+"&"+q, []byte("0 10\n"))
+	for _, q := range []string{`"workers":-1`, `"workers":"abc"`, `"workers":2.5`} {
+		w := postTrace(t, s, traceHeader("", q), []byte("0 10\n"))
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", q, w.Code)
 		}

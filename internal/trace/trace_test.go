@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -107,62 +105,6 @@ func TestAddrRange(t *testing.T) {
 	}
 }
 
-func TestDinRoundTrip(t *testing.T) {
-	tr := FromRefs([]Ref{
-		{Addr: 0x0, Kind: Read},
-		{Addr: 0xdeadbeef, Kind: Write},
-		{Addr: 0x42, Kind: Fetch},
-	})
-	var buf bytes.Buffer
-	if err := tr.WriteDin(&buf); err != nil {
-		t.Fatalf("WriteDin: %v", err)
-	}
-	got, err := ReadDin(&buf)
-	if err != nil {
-		t.Fatalf("ReadDin: %v", err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip length %d, want %d", got.Len(), tr.Len())
-	}
-	for i := 0; i < tr.Len(); i++ {
-		if got.At(i) != tr.At(i) {
-			t.Errorf("ref %d = %+v, want %+v", i, got.At(i), tr.At(i))
-		}
-	}
-}
-
-func TestReadDinCommentsAndBlank(t *testing.T) {
-	in := "# a comment\n\n0 10\n1 0x20\n"
-	tr, err := ReadDin(strings.NewReader(in))
-	if err != nil {
-		t.Fatalf("ReadDin: %v", err)
-	}
-	if tr.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tr.Len())
-	}
-	if tr.At(0) != (Ref{Addr: 0x10, Kind: Read}) {
-		t.Errorf("ref 0 = %+v", tr.At(0))
-	}
-	if tr.At(1) != (Ref{Addr: 0x20, Kind: Write}) {
-		t.Errorf("ref 1 = %+v", tr.At(1))
-	}
-}
-
-func TestReadDinErrors(t *testing.T) {
-	cases := []string{
-		"0\n",       // missing address
-		"x 10\n",    // bad label
-		"7 10\n",    // out-of-range label
-		"0 zzzz\n",  // bad address
-		"0 10 10 x", // extra fields are fine, but keep a bad one:
-	}
-	for i, in := range cases[:4] {
-		if _, err := ReadDin(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d (%q): want error", i, in)
-		}
-	}
-}
-
 func TestSequential(t *testing.T) {
 	tr := Sequential(100, 5, 4)
 	want := []uint64{100, 104, 108, 112, 116}
@@ -249,37 +191,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-// Property: din serialization round-trips arbitrary address/kind pairs.
-func TestQuickDinRoundTrip(t *testing.T) {
-	f := func(addrs []uint64, kinds []uint8) bool {
-		tr := New(len(addrs))
-		for i, a := range addrs {
-			k := Read
-			if len(kinds) > 0 {
-				k = Kind(kinds[i%len(kinds)] % 3)
-			}
-			tr.Append(Ref{Addr: a, Kind: k})
-		}
-		var buf bytes.Buffer
-		if err := tr.WriteDin(&buf); err != nil {
-			return false
-		}
-		got, err := ReadDin(&buf)
-		if err != nil || got.Len() != tr.Len() {
-			return false
-		}
-		for i := 0; i < tr.Len(); i++ {
-			if got.At(i) != tr.At(i) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Interleave preserves the multiset of references.
 func TestQuickInterleavePreservesRefs(t *testing.T) {
 	f := func(na, nb uint8) bool {
@@ -308,44 +219,5 @@ func TestQuickInterleavePreservesRefs(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDinGzRoundTrip(t *testing.T) {
-	tr := Sequential(0, 200, 3)
-	var buf bytes.Buffer
-	if err := tr.WriteDinGz(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 || buf.Bytes()[0] != 0x1f {
-		t.Fatalf("not gzip output: % x", buf.Bytes()[:2])
-	}
-	got, err := ReadDinAuto(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round trip length %d, want %d", got.Len(), tr.Len())
-	}
-	for i := 0; i < tr.Len(); i++ {
-		if got.At(i) != tr.At(i) {
-			t.Fatalf("ref %d differs", i)
-		}
-	}
-}
-
-func TestReadDinAutoPlain(t *testing.T) {
-	got, err := ReadDinAuto(strings.NewReader("0 10\n"))
-	if err != nil || got.Len() != 1 {
-		t.Fatalf("plain auto-read: %d, %v", got.Len(), err)
-	}
-	// Corrupt gzip header is an error, not a hang.
-	if _, err := ReadDinAuto(bytes.NewReader([]byte{0x1f, 0x8b, 0x00})); err == nil {
-		t.Error("corrupt gzip should fail")
-	}
-	// Empty input yields an empty trace.
-	empty, err := ReadDinAuto(strings.NewReader(""))
-	if err != nil || empty.Len() != 0 {
-		t.Errorf("empty input: %d, %v", empty.Len(), err)
 	}
 }

@@ -285,13 +285,10 @@ const (
 	// EngineBatched forces the workload-grouped batched engine without
 	// inclusion grouping.
 	EngineBatched = core.EngineBatched
-	// EngineInclusion is EngineAuto under its explicit name: inclusion
-	// grouping with per-configuration fallback.
-	EngineInclusion = core.EngineInclusion
 )
 
-// ParseEngine parses an engine name: "auto" (or ""), "per-point",
-// "batched", "inclusion".
+// ParseEngine parses an engine name: "auto" (or ""), "per-point" or
+// "batched".
 func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
 
 // SweepPlan describes how a sweep partitions into simulation pass units
